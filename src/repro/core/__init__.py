@@ -8,7 +8,9 @@
   layer-by-layer operator fixing of Sec. III-C.
 * :class:`~repro.core.evolution.EvolutionarySearch` — the EA of
   Sec. III-D (20 generations, population 50, 20 parents, crossover and
-  mutation probability 0.25).
+  mutation probability 0.25), on the generation loop of
+  :class:`~repro.core.generational.GenerationalSearch` that the NSGA-II
+  front search shares.
 * :class:`~repro.core.search.HSCoNAS` — the end-to-end pipeline gluing
   hardware modeling, channel scaling, shrinking, and the EA together.
 """

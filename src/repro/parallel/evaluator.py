@@ -28,11 +28,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.cache import EvaluationCache
+from repro.parallel.backend import EvaluationBackend
 from repro.parallel.pool import WorkerPool
 from repro.parallel.shared_weights import SharedWeightStore
 
 
-class ParallelEvaluator:
+class ParallelEvaluator(EvaluationBackend):
     """Fan a batched evaluation function out across worker processes.
 
     Parameters
@@ -80,6 +81,7 @@ class ParallelEvaluator:
         max_retries: int = 1,
         dispatch_timeout_s: Optional[float] = None,
     ):
+        super().__init__(cache=cache)
         self._pool = WorkerPool(
             eval_many_fn,
             workers=workers,
@@ -87,12 +89,9 @@ class ParallelEvaluator:
             max_retries=max_retries,
             dispatch_timeout_s=dispatch_timeout_s,
         )
-        self.cache = cache
         self.weight_store = weight_store
         self.source_module = source_module
         self.on_worker_items = on_worker_items
-        self.batches = 0
-        self.items = 0
 
     # -- evaluation --------------------------------------------------------------
 
@@ -117,16 +116,6 @@ class ParallelEvaluator:
             if len(archs) > in_parent:
                 self.on_worker_items(len(archs) - in_parent)
         return results
-
-    def evaluate_many(self, archs: Sequence) -> List:
-        """Evaluate ``archs`` through the shared cache, if one is set.
-
-        Cache lookups, dedup, and bookkeeping happen parent-side; only
-        the missing architectures are dispatched to workers.
-        """
-        if self.cache is not None:
-            return self.cache.get_or_eval_many(archs, self.map)
-        return self.map(archs)
 
     def set_cancel(self, token) -> None:
         """Install (or clear, with ``None``) a cooperative cancel token.
@@ -182,9 +171,3 @@ class ParallelEvaluator:
         """Shut worker processes down (the weight store is not closed:
         the evaluator borrows it, the creator owns its lifecycle)."""
         self._pool.close()
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
