@@ -31,6 +31,14 @@ vectorized code replaced:
    ``Objective.evaluate`` over the N=100 sample vs.
    :meth:`SubspaceQuality.estimate` backed by ``evaluate_many`` with a
    batched latency predictor (the surrogate-based analytic path).
+5. **Batched surrogate** (``surrogate_batch``) — per-architecture
+   :meth:`AccuracySurrogate.proxy_accuracy` vs. one
+   :meth:`AccuracySurrogate.proxy_accuracy_many` call on ``imagenet_a``.
+6. **Batched sampling** (``sample_batch``) — the per-layer
+   ``rng.choice`` loop that ``SearchSpace.sample`` used to run vs.
+   :meth:`SearchSpace.sample_many` in batches of N=100 (the Eq. 4
+   sample size); the architectures and the final generator state must
+   be identical.
 
 Three more entries time the multi-process evaluation backend against the
 same work run serially (``--workers``, default 4): an Eq. 4 quality
@@ -337,6 +345,87 @@ def bench_objective_batch(quick: bool) -> dict:
     return {
         "space": "imagenet_a",
         "num_samples": num_samples,
+        "loop_s": t_loop,
+        "vectorized_s": t_vec,
+        "speedup": t_loop / t_vec,
+        "max_abs_delta": delta,
+    }
+
+
+# -- 5. batched surrogate -------------------------------------------------------
+
+
+def bench_surrogate_batch(quick: bool) -> dict:
+    space = SearchSpace(imagenet_a())
+    surrogate = AccuracySurrogate(space)
+    num_archs = 200 if quick else 1000
+    repeats = 2 if quick else 5
+    archs = space.sample_many(np.random.default_rng(11), num_archs)
+
+    scalar = [surrogate.proxy_accuracy(a) for a in archs]
+    batch = surrogate.proxy_accuracy_many(archs)
+    delta = float(np.abs(np.asarray(scalar) - np.asarray(batch)).max())
+    assert delta == 0.0, f"batch/scalar surrogate mismatch: {delta}"
+
+    t_loop = _best_of(lambda: [surrogate.proxy_accuracy(a) for a in archs], repeats)
+    t_vec = _best_of(lambda: surrogate.proxy_accuracy_many(archs), repeats)
+    return {
+        "space": "imagenet_a",
+        "num_archs": num_archs,
+        "loop_s": t_loop,
+        "vectorized_s": t_vec,
+        "speedup": t_loop / t_vec,
+        "max_abs_delta": delta,
+    }
+
+
+# -- 6. batched sampling ---------------------------------------------------------
+
+
+def _choice_loop_sample(space: SearchSpace, rng) -> tuple:
+    """One draw the way ``SearchSpace.sample`` drew it before batching."""
+    ops = tuple(int(rng.choice(c)) for c in space.candidate_ops)
+    factors = tuple(float(rng.choice(c)) for c in space.candidate_factors)
+    return ops, factors
+
+
+def bench_sample_batch(quick: bool) -> dict:
+    space = SearchSpace(imagenet_a())
+    batch_size = 100
+    num_batches = 5 if quick else 20
+    repeats = 2 if quick else 5
+
+    def loop():
+        rng = np.random.default_rng(5)
+        draws = [
+            _choice_loop_sample(space, rng)
+            for _ in range(batch_size * num_batches)
+        ]
+        return draws, rng.bit_generator.state
+
+    def batched():
+        rng = np.random.default_rng(5)
+        draws = [
+            (a.ops, a.factors)
+            for _ in range(num_batches)
+            for a in space.sample_many(rng, batch_size)
+        ]
+        return draws, rng.bit_generator.state
+
+    loop_draws, loop_state = loop()
+    batch_draws, batch_state = batched()
+    assert loop_state == batch_state, "sample_many left a different rng state"
+    delta = float(np.abs(np.asarray(
+        [o + f for o, f in loop_draws]) - np.asarray([o + f for o, f in batch_draws])
+    ).max())
+    assert delta == 0.0, f"batch/scalar sampling mismatch: {delta}"
+
+    t_loop = _best_of(loop, repeats)
+    t_vec = _best_of(batched, repeats)
+    return {
+        "space": "imagenet_a",
+        "batch_size": batch_size,
+        "num_archs": batch_size * num_batches,
         "loop_s": t_loop,
         "vectorized_s": t_vec,
         "speedup": t_loop / t_vec,
@@ -906,6 +995,8 @@ def main() -> None:
         ("latency_batch_5k", bench_latency_batch),
         ("eq4_quality_estimate", bench_supernet_quality),
         ("eq4_objective_batch", bench_objective_batch),
+        ("surrogate_batch", bench_surrogate_batch),
+        ("sample_batch", bench_sample_batch),
     ):
         results[name] = fn(args.quick)
         r = results[name]

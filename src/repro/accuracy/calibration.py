@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 # (name, MACs, published top-1 error %) — searched mobile models.
 ACCURACY_ANCHORS: Tuple[Tuple[str, float, float], ...] = (
@@ -80,6 +79,10 @@ def fit_capacity_curve(
     surrogate models separately), but it pins the level and slope of the
     capacity/accuracy trade-off that the EA exploits.
     """
+    # Local import: only this optional refit needs scipy, and it is
+    # the package's slowest import.
+    from scipy import optimize
+
     flops = np.array([a[1] for a in anchors])
     errors = np.array([a[2] for a in anchors])
 

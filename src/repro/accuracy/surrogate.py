@@ -27,7 +27,7 @@ supernets).
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,14 +39,42 @@ from repro.accuracy.calibration import (
 )
 from repro.accuracy.features import extract_features
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace  # noqa: F401 (docs reference)
+from repro.space.operators import operators
+from repro.space.search_space import SearchSpace
 
 
-def _digest_residual(arch: Architecture, salt: str, sigma: float) -> float:
+def _digest_residual(arch_digest: str, salt: str, sigma: float) -> float:
     """Deterministic ~N(0, sigma) draw keyed by the architecture digest."""
-    digest = hashlib.sha256((arch.digest() + salt).encode()).digest()
+    digest = hashlib.sha256((arch_digest + salt).encode()).digest()
     seed = int.from_bytes(digest[:8], "little")
     return float(np.random.default_rng(seed).normal(0.0, sigma))
+
+
+def _penalty(
+    num_layers: int,
+    depth: int,
+    min_factor: float,
+    std_factor: float,
+    num_distinct_ops: int,
+) -> float:
+    """The structural penalty (error points) from an arch's features."""
+    penalty = 0.0
+    # Excessive skip connections: a couple of skips are harmless
+    # (residual-like shortcuts), but beyond ~L/8 each one removes a
+    # transformation stage and costs real accuracy.
+    free_skips = num_layers // 8
+    num_skips = num_layers - depth
+    if num_skips > free_skips:
+        penalty += 0.45 * (num_skips - free_skips) ** 1.3
+    # Width bottleneck below factor 0.3.
+    if min_factor < 0.3:
+        penalty += 8.0 * (0.3 - min_factor)
+    # Erratic width profile.
+    penalty += 1.2 * std_factor
+    # Kernel diversity bonus (small).
+    if num_distinct_ops >= 3:
+        penalty -= 0.15
+    return penalty
 
 
 class AccuracySurrogate:
@@ -114,37 +142,39 @@ class AccuracySurrogate:
         scale = 1.0 if max_flops >= 5e7 else cls._REFERENCE_MAX_FLOPS / max_flops
         return cls(space, flops_scale=scale, **kwargs)
 
-    # -- structural penalties -------------------------------------------------
+    # -- shared per-architecture arithmetic ------------------------------------
+    #
+    # Scalar and batched scoring differ only in how they extract the
+    # features; both finish here, in Python floats, so they agree to the
+    # last bit.
 
-    def _penalties(self, arch: Architecture) -> float:
+    def _top1_tail(self, flops: float, penalty: float, digest: str) -> float:
+        error = self.curve.error_at(flops * self.flops_scale)
+        error += penalty
+        error += _digest_residual(digest, "standalone", self.residual_sigma)
+        return min(max(error, 5.0), 95.0)
+
+    def _proxy_tail(self, top1: float, digest: str) -> float:
+        error = top1 + self.proxy_gap
+        error += _digest_residual(digest, "proxy", self.proxy_sigma)
+        return min(max((100.0 - error) / 100.0, 0.0), 1.0)
+
+    def _scalar_terms(self, arch: Architecture):
         feats = extract_features(self.space, arch)
-        penalty = 0.0
-        # Excessive skip connections: a couple of skips are harmless
-        # (residual-like shortcuts), but beyond ~L/8 each one removes a
-        # transformation stage and costs real accuracy.
-        free_skips = feats.num_layers // 8
-        num_skips = feats.num_layers - feats.depth
-        if num_skips > free_skips:
-            penalty += 0.45 * (num_skips - free_skips) ** 1.3
-        # Width bottleneck below factor 0.3.
-        if feats.min_factor < 0.3:
-            penalty += 8.0 * (0.3 - feats.min_factor)
-        # Erratic width profile.
-        penalty += 1.2 * feats.std_factor
-        # Kernel diversity bonus (small).
-        if feats.num_distinct_ops >= 3:
-            penalty -= 0.15
-        return penalty
+        penalty = _penalty(
+            feats.num_layers,
+            feats.depth,
+            feats.min_factor,
+            feats.std_factor,
+            feats.num_distinct_ops,
+        )
+        return feats.flops, penalty, arch.digest()
 
     # -- stand-alone (train-from-scratch) accuracy ------------------------------
 
     def top1_error(self, arch: Architecture) -> float:
         """Stand-alone top-1 error (%) after full training."""
-        flops = self.space.arch_flops(arch) * self.flops_scale
-        error = self.curve.error_at(flops)
-        error += self._penalties(arch)
-        error += _digest_residual(arch, salt="standalone", sigma=self.residual_sigma)
-        return float(np.clip(error, 5.0, 95.0))
+        return self._top1_tail(*self._scalar_terms(arch))
 
     def top5_error(self, arch: Architecture) -> float:
         """Stand-alone top-5 error (%), via the fitted top-1 mapping."""
@@ -167,6 +197,37 @@ class AccuracySurrogate:
         rank-correlated with it — the regime in which one-shot NAS
         actually operates.
         """
-        error = self.top1_error(arch) + self.proxy_gap
-        error += _digest_residual(arch, salt="proxy", sigma=self.proxy_sigma)
-        return float(np.clip((100.0 - error) / 100.0, 0.0, 1.0))
+        flops, penalty, digest = self._scalar_terms(arch)
+        return self._proxy_tail(self._top1_tail(flops, penalty, digest), digest)
+
+    def proxy_accuracy_many(self, archs: Sequence[Architecture]) -> List[float]:
+        """:meth:`proxy_accuracy` for a batch, bit-identical per arch.
+
+        The features are extracted for the whole batch at once (FLOPs
+        via :meth:`SearchSpace.arch_flops_many`; depth, factor min/std
+        and operator diversity as array reductions) and each arch's
+        digest is computed once; the per-arch tail is the scalar path's.
+        """
+        archs = list(archs)
+        if not archs:
+            return []
+        flops = self.space.arch_flops_many(archs).tolist()
+        ops = np.array([a.ops for a in archs])
+        factors = np.array([a.factors for a in archs], dtype=np.float64)
+        is_skip = np.array([op.is_skip for op in operators()])
+        num_layers = ops.shape[1]
+        depth = (num_layers - is_skip[ops].sum(axis=1)).tolist()
+        used = np.zeros((len(archs), len(is_skip)), dtype=bool)
+        used[np.arange(len(archs))[:, None], ops] = True
+        distinct = used[:, ~is_skip].sum(axis=1).tolist()
+        min_factor = factors.min(axis=1).tolist()
+        std_factor = factors.std(axis=1).tolist()
+        out = []
+        for i, arch in enumerate(archs):
+            digest = arch.digest()
+            penalty = _penalty(
+                num_layers, depth[i], min_factor[i], std_factor[i], distinct[i]
+            )
+            top1 = self._top1_tail(flops[i], penalty, digest)
+            out.append(self._proxy_tail(top1, digest))
+        return out

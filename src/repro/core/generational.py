@@ -186,8 +186,7 @@ class GenerationalSearch:
                 continue
             seen.add(child.key())
             children.append(child)
-        while len(children) < needed:
-            children.append(self.space.sample(rng))
+        children.extend(self.space.sample_many(rng, needed - len(children)))
         return children
 
     # -- bookkeeping ---------------------------------------------------------------
@@ -269,10 +268,9 @@ class GenerationalSearch:
                     if gen == 0:
                         parents = []
                         seeds = self._seed_archs()
-                        children = seeds + [
-                            self.space.sample(rng)
-                            for _ in range(cfg.population_size - len(seeds))
-                        ]
+                        children = seeds + self.space.sample_many(
+                            rng, cfg.population_size - len(seeds)
+                        )
                     else:
                         parents = self._select(population)
                         children = self._breed(parents, rng)

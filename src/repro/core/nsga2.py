@@ -178,6 +178,9 @@ class Nsga2Search(GenerationalSearch):
         latency_many_fn: Optional[
             Callable[[List[Architecture]], "List[float]"]
         ] = None,
+        accuracy_many_fn: Optional[
+            Callable[[List[Architecture]], "List[float]"]
+        ] = None,
         evaluator=None,
         cancel=None,
     ):
@@ -196,11 +199,13 @@ class Nsga2Search(GenerationalSearch):
         )
         self.accuracy_fn = accuracy_fn
         self.latency_fn = latency_fn
-        # Optional batched latency counterpart ``archs -> [ms]`` (e.g.
-        # LatencyPredictor.predict_many). Must return exactly what
-        # ``latency_fn`` would per architecture — the batched path is a
+        # Optional batched counterparts ``archs -> [value]`` (e.g.
+        # LatencyPredictor.predict_many, AccuracySurrogate.
+        # proxy_accuracy_many). Each must return exactly what its scalar
+        # function would per architecture — the batched path is a
         # throughput knob, never a semantics change.
         self.latency_many_fn = latency_many_fn
+        self.accuracy_many_fn = accuracy_many_fn
         # Worker processes for population evaluation; 0/1 = serial.
         # Results are identical either way (see docs/parallel.md).
         # ``backend`` picks the evaluation backend explicitly; "auto"
@@ -219,18 +224,22 @@ class Nsga2Search(GenerationalSearch):
     def _score_many(self, archs: List[Architecture]) -> List[BiObjective]:
         """Uncached batch scoring (the worker-pool chunk function).
 
-        With ``latency_many_fn`` set, one batched call scores every
-        latency (bit-exact with the scalar path by contract).
+        With ``latency_many_fn``/``accuracy_many_fn`` set, one batched
+        call scores every latency/accuracy (bit-exact with the scalar
+        path by contract).
         """
+        archs = list(archs)
         if self.latency_many_fn is not None:
-            latencies = self.latency_many_fn(list(archs))
-            return [
-                BiObjective(a, float(lat), self.accuracy_fn(a))
-                for a, lat in zip(archs, latencies)
-            ]
+            latencies = [float(v) for v in self.latency_many_fn(archs)]
+        else:
+            latencies = [self.latency_fn(a) for a in archs]
+        if self.accuracy_many_fn is not None:
+            accuracies = list(self.accuracy_many_fn(archs))
+        else:
+            accuracies = [self.accuracy_fn(a) for a in archs]
         return [
-            BiObjective(a, self.latency_fn(a), self.accuracy_fn(a))
-            for a in archs
+            BiObjective(a, lat, acc)
+            for a, lat, acc in zip(archs, latencies, accuracies)
         ]
 
     def _seed_archs(self) -> List[Architecture]:

@@ -138,7 +138,7 @@ class SubspaceQuality:
             if index is None:
                 (index,) = self.reserve_indices(1)
             rng = self.rng_for(index)
-        archs = [subspace.sample(rng) for _ in range(self.num_samples)]
+        archs = subspace.sample_many(rng, self.num_samples)
         eval_many = self._eval_many_fn()
         if self.cache is not None:
             evaluated = self.cache.get_or_eval_many(archs, eval_many)
@@ -179,9 +179,7 @@ class SubspaceQuality:
         all_archs = []
         for subspace, index in zip(subspaces, indices):
             rng = self.rng_for(index)
-            all_archs.extend(
-                subspace.sample(rng) for _ in range(self.num_samples)
-            )
+            all_archs.extend(subspace.sample_many(rng, self.num_samples))
         eval_many = self._eval_many_fn()
         if self.cache is not None:
             evaluated = self.cache.get_or_eval_many(all_archs, eval_many)

@@ -41,6 +41,8 @@ serial path — same results, no processes.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -61,10 +63,25 @@ Result = TypeVar("Result")
 # is just ``(_run_chunk, chunk_id, items)`` — always picklable.
 _WORKER_CHUNK_FN: Optional[Callable] = None
 
+# How often a worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.5
 
-def _init_worker(chunk_fn: Callable) -> None:
+
+def _exit_with_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(chunk_fn: Callable, parent_pid: int) -> None:
     global _WORKER_CHUNK_FN
     _WORKER_CHUNK_FN = chunk_fn
+    # A parent killed outright never sends the shutdown sentinel, and the
+    # call-queue pipe stays open in the sibling workers, so an orphaned
+    # worker would block on it forever: exit once reparented instead.
+    threading.Thread(
+        target=_exit_with_parent, args=(parent_pid,), daemon=True
+    ).start()
 
 
 def _run_chunk(chunk_id: int, items: List) -> tuple:
@@ -169,7 +186,7 @@ class WorkerPool:
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(self._chunk_fn,),
+                initargs=(self._chunk_fn, os.getpid()),
             )
         return self._executor
 

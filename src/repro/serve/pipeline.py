@@ -94,6 +94,7 @@ def front_search(
         space,
         accuracy_fn=surrogate.proxy_accuracy,
         latency_fn=predictor.predict,
+        accuracy_many_fn=surrogate.proxy_accuracy_many,
         latency_many_fn=predictor.predict_many,
         config=Nsga2Config(
             seed=seed,

@@ -18,7 +18,12 @@ from repro.nn.layers.mask import channels_kept
 from repro.space.architecture import Architecture
 from repro.space.config import SpaceConfig
 from repro.space.geometry import LayerGeometry, build_layer_geometry
-from repro.space.operators import NUM_OPERATORS, Primitive, get_operator
+from repro.space.operators import (
+    NUM_OPERATORS,
+    Primitive,
+    get_operator,
+    operators,
+)
 
 _DTYPE_BYTES = 4
 
@@ -72,6 +77,24 @@ class SearchSpace:
                 raise ValueError(f"layer {layer} has no candidate factors")
             self.candidate_factors.append(factors)
 
+        # Padded candidate tables and the per-draw candidate counts
+        # (ops of every layer, then factors) that ``sample_many`` uses.
+        draws = self.candidate_ops + self.candidate_factors
+        width = max(len(c) for c in draws)
+        self._draw_counts = np.array([len(c) for c in draws], dtype=np.int64)
+        self._op_table = np.array(
+            [c + (0,) * (width - len(c)) for c in self.candidate_ops]
+        )
+        self._factor_table = np.array(
+            [c + (1.0,) * (width - len(c)) for c in self.candidate_factors]
+        )
+
+        # Per-layer MACs keyed on the *actual* ``(layer, op, cin, cout)``
+        # (a stride-1 skip can narrow the next layer's input below its
+        # factor's width), filled lazily by ``OperatorSpec.flops``.
+        # Shrunk spaces share it: it depends on the geometry only.
+        self._layer_macs: Dict[Tuple[int, int, int, int], float] = {}
+
     # -- basic properties -----------------------------------------------------
 
     @property
@@ -110,13 +133,30 @@ class SearchSpace:
 
     def sample(self, rng: np.random.Generator) -> Architecture:
         """Uniformly sample one architecture from the space."""
-        ops = tuple(
-            int(rng.choice(cands)) for cands in self.candidate_ops
-        )
-        factors = tuple(
-            float(rng.choice(cands)) for cands in self.candidate_factors
-        )
-        return Architecture(ops, factors)
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(self, rng: np.random.Generator, n: int) -> List[Architecture]:
+        """``n`` uniform samples, identical to ``n`` :meth:`sample` calls.
+
+        One ``rng.integers`` call draws every candidate index: per
+        sample, each layer's operator, then each layer's factor. That is
+        the draw order of a per-layer ``rng.choice`` loop, so batching
+        changes neither the architectures nor the generator's final
+        state.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if n == 0:
+            return []
+        num_layers = self.num_layers
+        picks = rng.integers(0, np.tile(self._draw_counts, n)).reshape(n, -1)
+        layers = np.arange(num_layers)
+        op_rows = self._op_table[layers, picks[:, :num_layers]].tolist()
+        factor_rows = self._factor_table[layers, picks[:, num_layers:]].tolist()
+        return [
+            Architecture(tuple(o), tuple(f))
+            for o, f in zip(op_rows, factor_rows)
+        ]
 
     def max_architecture(self) -> Architecture:
         """The largest architecture (first op candidates, factor 1.0-ish)."""
@@ -136,7 +176,9 @@ class SearchSpace:
             )
         ops = [list(c) for c in self.candidate_ops]
         ops[layer] = [op_index]
-        return SearchSpace(self.config, ops, self.candidate_factors)
+        shrunk = SearchSpace(self.config, ops, self.candidate_factors)
+        shrunk._layer_macs = self._layer_macs
+        return shrunk
 
     def restrict_to_operator_subspace(self, layer: int, op_index: int) -> "SearchSpace":
         """The subspace used when *evaluating* candidate ``op_index`` for a
@@ -254,6 +296,47 @@ class SearchSpace:
         total += sum(p.flops for p in self.stem_head_primitives(arch))
         return total
 
+    def arch_flops_many(self, archs: Sequence[Architecture]) -> np.ndarray:
+        """:meth:`arch_flops` for a batch, as a float64 array.
+
+        Active channels follow :meth:`active_channels` layer by layer
+        across the whole batch; each layer's MACs come from
+        ``OperatorSpec.flops`` (memoized on the actual channel counts)
+        and the head's from :meth:`head_primitives`. Every term is an
+        integer-valued float far below 2**53, so the sums are exact in
+        any order and equal the scalar results.
+        """
+        archs = list(archs)
+        for arch in archs:
+            self._check_arch(arch)
+        if not archs:
+            return np.zeros(0)
+        ops = np.array([a.ops for a in archs], dtype=np.int64)
+        factors = np.array([a.factors for a in archs], dtype=np.float64)
+        skip = np.array([op.is_skip for op in operators()])[ops]
+        macs = np.empty(ops.shape)
+        cin = np.full(len(archs), self.config.stem_channels, dtype=np.int64)
+        for layer, geom in enumerate(self.geometry):
+            # channels_kept, vectorized: round half up, clamp to [1, max].
+            kept = np.floor(geom.max_out_channels * factors[:, layer] + 0.5)
+            cout = np.clip(kept, 1, geom.max_out_channels).astype(np.int64)
+            if geom.stride == 1:
+                cout = np.where(skip[:, layer], np.minimum(cin, cout), cout)
+            macs[:, layer] = [
+                self._layer_flops(layer, op, c_in, c_out)
+                for op, c_in, c_out in zip(
+                    ops[:, layer].tolist(), cin.tolist(), cout.tolist()
+                )
+            ]
+            cin = cout
+        stem = sum(p.flops for p in self.stem_primitives())
+        head = {
+            c: sum(p.flops for p in self.head_primitives(c))
+            for c in set(cin.tolist())
+        }
+        ends = np.array([head[c] for c in cin.tolist()]) + stem
+        return macs.sum(axis=1) + ends
+
     def arch_params(self, arch: Architecture) -> float:
         """Total weight count including stem and head."""
         self._check_arch(arch)
@@ -268,6 +351,15 @@ class SearchSpace:
         return total
 
     # -- internals ------------------------------------------------------------
+
+    def _layer_flops(self, layer: int, op: int, cin: int, cout: int) -> float:
+        key = (layer, op, cin, cout)
+        value = self._layer_macs.get(key)
+        if value is None:
+            geom = self.geometry[layer]
+            value = get_operator(op).flops(cin, cout, geom.in_size, geom.stride)
+            self._layer_macs[key] = value
+        return value
 
     def _check_arch(self, arch: Architecture) -> None:
         if arch.num_layers != self.num_layers:

@@ -106,7 +106,7 @@ def tabulate(
     surrogate = recipe_surrogate(recipe, space)
 
     def _accuracy_rows(batch):
-        return [float(surrogate.proxy_accuracy(a)) for a in batch]
+        return surrogate.proxy_accuracy_many(batch)
 
     from repro.parallel.backend import create_backend
 
